@@ -183,19 +183,31 @@ class EventRecord:
         ``allow_chain`` distinguishes intra-node folding (stream order —
         strided endpoint patterns may extend) from inter-node merging
         (different ranks — only matching constant/cycle encodings merge).
+        The static fields are compared directly rather than through
+        :meth:`static_key` (this runs for every candidate fold); ``Op``
+        members are singletons, so identity matches ``op.value`` equality.
         """
         return (
-            self.static_key() == other.static_key()
+            self.stack_sig == other.stack_sig
+            and self.op is other.op
+            and self.comm_id == other.comm_id
+            and self.root == other.root
             and self._ep_compatible(self.src, other.src, allow_chain)
             and self._ep_compatible(self.dest, other.dest, allow_chain)
         )
 
-    def merge(self, other: "EventRecord", allow_chain: bool = True) -> None:
-        """Fold ``other`` into this record (``can_merge`` must hold)."""
+    def merge(self, other: "EventRecord", allow_chain: bool = True) -> int:
+        """Fold ``other`` into this record (``can_merge`` must hold).
+
+        Returns the change in :meth:`size_bytes` (O(1): every part of the
+        size is kept up to date), so that a compressor can keep a running
+        byte count without re-summing its trace.
+        """
         if not self.can_merge(other, allow_chain):
             raise ValueError(
                 f"cannot merge events: {self} vs {other}"
             )
+        before = self.size_bytes()
         if self.src is not None:
             self.src.merge(other.src, allow_chain)  # type: ignore[arg-type]
         if self.dest is not None:
@@ -204,6 +216,7 @@ class EventRecord:
         self.count.merge(other.count)
         self.tag.merge(other.tag)
         self.dhist.merge(other.dhist)
+        return self.size_bytes() - before
 
     def copy(self) -> "EventRecord":
         return EventRecord(
@@ -223,8 +236,12 @@ class EventRecord:
     def size_bytes(self) -> int:
         """Modelled allocation of this record (paper Table IV accounting):
         fixed header + endpoint encodings + ranklist + sparse histogram."""
-        ep = sum(e.size_bytes() for e in (self.src, self.dest) if e is not None)
-        return 96 + ep + self.participants.size_bytes() + self.dhist.size_bytes()
+        size = 96 + self.participants.size_bytes() + self.dhist.size_bytes()
+        if self.src is not None:
+            size += self.src.size_bytes()
+        if self.dest is not None:
+            size += self.dest.size_bytes()
+        return size
 
     def __str__(self) -> str:
         ep = ""

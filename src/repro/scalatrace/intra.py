@@ -25,15 +25,21 @@ charge virtual time for it.
 from __future__ import annotations
 
 from .events import EventRecord
-from .rsd import EventNode, LoopNode, TraceNode, WorkMeter, merge_nodes, same_shape
+from .rsd import (
+    LOOP_HEADER_BYTES,
+    EventNode,
+    LoopNode,
+    TraceNode,
+    WorkMeter,
+    merge_nodes,
+    same_shape,
+)
 
 DEFAULT_WINDOW = 64
 
 
 def _participants_equal(a: TraceNode, b: TraceNode) -> bool:
     """Whether two congruent subtrees cover the same rank populations."""
-    from .rsd import EventNode
-
     if isinstance(a, EventNode) and isinstance(b, EventNode):
         return a.record.participants == b.record.participants
     return all(
@@ -42,12 +48,37 @@ def _participants_equal(a: TraceNode, b: TraceNode) -> bool:
     )
 
 
+def _runs_congruent(
+    xs: list[TraceNode],
+    i: int,
+    ys: list[TraceNode],
+    j: int,
+    m: int,
+    meter: WorkMeter,
+    match_participants: bool,
+) -> bool:
+    """Whether ``xs[i:i+m]`` and ``ys[j:j+m]`` are pairwise congruent.
+
+    Pairs are compared in order and the test stops at the first mismatch,
+    so the metered ``same_shape`` calls are exactly those of an ``all()``
+    over the zipped slices, but no slice is built.
+    """
+    for k in range(m):
+        a = xs[i + k]
+        b = ys[j + k]
+        if not same_shape(a, b, meter, match_iters=True):
+            return False
+        if match_participants and not _participants_equal(a, b):
+            return False
+    return True
+
+
 def fold_tail(
     nodes: list[TraceNode],
     window: int,
     meter: WorkMeter,
     match_participants: bool = False,
-) -> None:
+) -> int:
     """Run the absorb/create rewrite rules to fixpoint on the list's tail.
 
     Shared by the per-rank compressor (folding raw events) and Chameleon's
@@ -57,51 +88,59 @@ def fold_tail(
     records from different clusters would union their ranklists and
     misattribute iterations (a per-rank stream never needs the check —
     every node covers exactly the owning rank).
+
+    Returns the change in ``sum(n.size_bytes() for n in nodes)``: each
+    fold adds what its merges changed, drops the folded-away copy and, for
+    a new loop, adds the loop header.  The accounting touches only the
+    folded nodes, never the whole list.
     """
-
-    def congruent(a: TraceNode, b: TraceNode) -> bool:
-        if not same_shape(a, b, meter, match_iters=True):
-            return False
-        return not match_participants or _participants_equal(a, b)
-
+    delta = 0
     changed = True
     while changed:
         changed = False
+        n = len(nodes)
         # Rule 1: absorb the tail into an immediately preceding loop.
-        for m in range(1, min(window, len(nodes) - 1) + 1):
-            prev = nodes[-m - 1]
+        for m in range(1, min(window, n - 1) + 1):
+            prev = nodes[n - m - 1]
             if not isinstance(prev, LoopNode) or len(prev.body) != m:
                 continue
-            tail = nodes[-m:]
-            if all(congruent(b, t) for b, t in zip(prev.body, tail)):
-                for b, t in zip(prev.body, tail):
-                    merge_nodes(b, t, meter)
+            body = prev.body
+            if _runs_congruent(body, 0, nodes, n - m, m, meter,
+                               match_participants):
+                for i in range(m):
+                    t = nodes[n - m + i]
+                    delta += merge_nodes(body[i], t, meter) - t.size_bytes()
                 prev.iters += 1
-                del nodes[-m:]
+                del nodes[n - m :]
                 meter.folds += 1
                 changed = True
                 break
         if changed:
             continue
         # Rule 2: fold two adjacent congruent runs into a new loop.
-        for m in range(1, window + 1):
-            if len(nodes) < 2 * m:
-                break
-            first = nodes[-2 * m : -m]
-            second = nodes[-m:]
-            if all(congruent(a, b) for a, b in zip(first, second)):
-                for a, b in zip(first, second):
-                    merge_nodes(a, b, meter)
-                loop = LoopNode(2, first)
-                del nodes[-2 * m :]
-                nodes.append(loop)
+        for m in range(1, min(window, n // 2) + 1):
+            if _runs_congruent(nodes, n - 2 * m, nodes, n - m, m, meter,
+                               match_participants):
+                first = nodes[n - 2 * m : n - m]
+                for i in range(m):
+                    b = nodes[n - m + i]
+                    delta += merge_nodes(first[i], b, meter) - b.size_bytes()
+                del nodes[n - 2 * m :]
+                nodes.append(LoopNode(2, first))
+                delta += LOOP_HEADER_BYTES
                 meter.folds += 1
                 changed = True
                 break
+    return delta
 
 
 class IntraCompressor:
-    """Online RSD/PRSD compressor for one rank's event stream."""
+    """Online RSD/PRSD compressor for one rank's event stream.
+
+    It keeps a running modelled byte count of its nodes: ``append`` adds
+    the new leaf and whatever :func:`fold_tail` reports, so
+    :meth:`size_bytes` is O(1) however long the trace grows.
+    """
 
     def __init__(self, window: int = DEFAULT_WINDOW, meter: WorkMeter | None = None):
         if window < 1:
@@ -110,12 +149,15 @@ class IntraCompressor:
         self.meter = meter if meter is not None else WorkMeter()
         self.nodes: list[TraceNode] = []
         self.appended_events = 0
+        self._bytes = 0
 
     def append(self, record: EventRecord) -> None:
         """Add one event and re-compress the tail."""
         self.nodes.append(EventNode(record))
         self.appended_events += 1
-        fold_tail(self.nodes, self.window, self.meter)
+        self._bytes += record.size_bytes() + fold_tail(
+            self.nodes, self.window, self.meter
+        )
 
     # -- introspection ---------------------------------------------------
 
@@ -128,10 +170,13 @@ class IntraCompressor:
         return sum(n.expanded_count() for n in self.nodes)
 
     def size_bytes(self) -> int:
-        return sum(n.size_bytes() for n in self.nodes)
+        """Modelled size of the nodes, ``sum(n.size_bytes() for n in
+        nodes)``, from the running count."""
+        return self._bytes
 
     def take_nodes(self) -> list[TraceNode]:
         """Detach and return the compressed nodes (compressor resets)."""
         nodes, self.nodes = self.nodes, []
         self.appended_events = 0
+        self._bytes = 0
         return nodes

@@ -130,9 +130,14 @@ class RankSet:
     Canonicalization always starts from the sorted member set, so two
     RankSets over the same ranks compare equal regardless of construction
     order — the property event merging relies on.
+
+    A RankSet is immutable: no method changes it after construction, so
+    one instance may be shared by any number of records (a tracer gives
+    every record of its rank the same one) and :meth:`union` may return
+    an operand unchanged.
     """
 
-    __slots__ = ("_lists", "_members")
+    __slots__ = ("_lists", "_members", "_nbytes")
 
     def __init__(self, ranks: Iterable[int]) -> None:
         members = sorted(set(ranks))
@@ -143,6 +148,7 @@ class RankSet:
         self._lists: list[Ranklist] = (
             [single] if single is not None else _arithmetic_runs(members)
         )
+        self._nbytes = sum(rl.size_bytes() for rl in self._lists)
 
     @classmethod
     def single(cls, rank: int) -> "RankSet":
@@ -175,10 +181,12 @@ class RankSet:
         return hash(self._members)
 
     def union(self, other: "RankSet") -> "RankSet":
+        if other is self or other._members == self._members:
+            return self
         return RankSet(self._members + other._members)
 
     def size_bytes(self) -> int:
-        return sum(rl.size_bytes() for rl in self._lists)
+        return self._nbytes
 
     def __str__(self) -> str:
         return "+".join(str(rl) for rl in self._lists)

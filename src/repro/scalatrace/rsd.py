@@ -73,6 +73,10 @@ class EventNode:
         return str(self.record)
 
 
+#: modelled bytes of a loop node's own header (iteration count, body link)
+LOOP_HEADER_BYTES = 16
+
+
 @dataclass
 class LoopNode:
     """``iters`` repetitions of a node sequence (RSD / PRSD)."""
@@ -81,7 +85,7 @@ class LoopNode:
     body: list["TraceNode"] = field(default_factory=list)
 
     def size_bytes(self) -> int:
-        return 16 + sum(n.size_bytes() for n in self.body)
+        return LOOP_HEADER_BYTES + sum(n.size_bytes() for n in self.body)
 
     def leaf_count(self) -> int:
         return sum(n.leaf_count() for n in self.body)
@@ -137,19 +141,22 @@ def merge_nodes(
     src: TraceNode,
     meter: WorkMeter | None = None,
     allow_chain: bool = True,
-) -> None:
-    """Fold ``src``'s statistics into the congruent subtree ``dst``."""
+) -> int:
+    """Fold ``src``'s statistics into the congruent subtree ``dst``.
+
+    Returns the change in ``dst.size_bytes()``.
+    """
     if meter is not None:
         meter.merges += 1
     if isinstance(dst, EventNode) and isinstance(src, EventNode):
-        dst.record.merge(src.record, allow_chain)
-        return
+        return dst.record.merge(src.record, allow_chain)
     if isinstance(dst, LoopNode) and isinstance(src, LoopNode):
         if len(dst.body) != len(src.body):
             raise ValueError("merge of loops with different body lengths")
+        delta = 0
         for d, s in zip(dst.body, src.body):
-            merge_nodes(d, s, meter, allow_chain)
-        return
+            delta += merge_nodes(d, s, meter, allow_chain)
+        return delta
     raise ValueError(f"cannot merge {type(dst).__name__} with {type(src).__name__}")
 
 

@@ -104,6 +104,9 @@ def _logical_signature(name: str) -> int:
     return sig
 
 
+_KEEP, _SKIP, _STOP = range(3)
+
+
 class StackWalker:
     """Captures the application call path at an MPI call site.
 
@@ -121,6 +124,9 @@ class StackWalker:
 
     def __init__(self, extra_skip: tuple[str, ...] = ()) -> None:
         self._skip = self._SKIP_FRAGMENTS + extra_skip
+        # Per file name: _KEEP, _SKIP or _STOP (see _classify).  A run has
+        # a handful of distinct files, so the substring tests run once each.
+        self._file_kind: dict[str, int] = {}
         # Memo over complete captures: an SPMD loop hits the same (stack,
         # logical frames) shape on every iteration, so the combine/label
         # work collapses to one dict probe after the first event.
@@ -129,15 +135,30 @@ class StackWalker:
             tuple[int, tuple[str, ...]],
         ] = {}
 
+    def _classify(self, filename: str) -> int:
+        """Whether frames of ``filename`` are application frames
+        (``_KEEP``), tracing plumbing (``_SKIP``) or the engine (``_STOP``)."""
+        if self._STOP_FRAGMENT in filename:
+            return _STOP
+        if any(frag in filename for frag in self._skip):
+            return _SKIP
+        return _KEEP
+
     def capture(self, logical_stack: Sequence[str] = ()) -> tuple[int, tuple[str, ...]]:
         """Return ``(stack_signature, human-readable frame list)``."""
         frames: list[tuple[str, str, int]] = []
+        file_kind = self._file_kind
         f = sys._getframe(1)
         while f is not None:
             filename = f.f_code.co_filename
-            if self._STOP_FRAGMENT in filename:
+            kind = file_kind.get(filename)
+            if kind is None:
+                if len(file_kind) >= _SIG_CACHE_MAX:
+                    file_kind.clear()
+                kind = file_kind[filename] = self._classify(filename)
+            if kind == _STOP:
                 break
-            if not any(frag in filename for frag in self._skip):
+            if kind == _KEEP:
                 frames.append((filename, f.f_code.co_name, f.f_lineno))
             f = f.f_back
         key = (tuple(frames), tuple(logical_stack))

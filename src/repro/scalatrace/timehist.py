@@ -47,19 +47,32 @@ class DeltaHistogram:
     sum: float = 0.0
     min: float = math.inf
     max: float = 0.0
+    #: number of non-empty bins, kept in step with ``counts`` so that
+    #: :meth:`size_bytes` is O(1)
+    nonzero: int = field(default=0, init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.nonzero = _NBINS - self.counts.count(0)
 
     def record(self, dt: float) -> None:
         if dt < 0:
             raise ValueError("delta times are non-negative")
-        self.counts[_bin_index(dt)] += 1
+        idx = _bin_index(dt)
+        if not self.counts[idx]:
+            self.nonzero += 1
+        self.counts[idx] += 1
         self.total += 1
         self.sum += dt
         self.min = dt if dt < self.min else self.min
         self.max = dt if dt > self.max else self.max
 
     def merge(self, other: "DeltaHistogram") -> None:
+        counts = self.counts
         for i, c in enumerate(other.counts):
-            self.counts[i] += c
+            if c:
+                if not counts[i]:
+                    self.nonzero += 1
+                counts[i] += c
         self.total += other.total
         self.sum += other.sum
         self.min = min(self.min, other.min)
@@ -96,17 +109,13 @@ class DeltaHistogram:
 
     def size_bytes(self) -> int:
         """Modelled allocation: only non-empty bins are stored (sparse)."""
-        nonzero = sum(1 for c in self.counts if c)
-        return 8 * (4 + 2 * nonzero)  # total/sum/min/max + (bin, count) pairs
+        # total/sum/min/max + (bin, count) pairs
+        return 8 * (4 + 2 * self.nonzero)
 
     def copy(self) -> "DeltaHistogram":
-        h = DeltaHistogram()
-        h.counts = list(self.counts)
-        h.total = self.total
-        h.sum = self.sum
-        h.min = self.min
-        h.max = self.max
-        return h
+        return DeltaHistogram(
+            list(self.counts), self.total, self.sum, self.min, self.max
+        )
 
     # -- serialization ----------------------------------------------------
 
@@ -118,13 +127,15 @@ class DeltaHistogram:
     @classmethod
     def from_text(cls, text: str) -> "DeltaHistogram":
         total_s, sum_s, min_s, max_s, bins = text.split("|")
-        h = cls()
-        h.total = int(total_s)
-        h.sum = float(sum_s)
-        h.min = math.inf if min_s == "inf" else float(min_s)
-        h.max = float(max_s)
+        counts = [0] * _NBINS
         if bins:
             for part in bins.split(";"):
                 i, c = part.split(":")
-                h.counts[int(i)] = int(c)
-        return h
+                counts[int(i)] = int(c)
+        return cls(
+            counts=counts,
+            total=int(total_s),
+            sum=float(sum_s),
+            min=math.inf if min_s == "inf" else float(min_s),
+            max=float(max_s),
+        )

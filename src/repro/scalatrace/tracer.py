@@ -74,6 +74,9 @@ class ScalaTraceTracer:
         self.stats = TracerStats()
         self._last_event_end = ctx.clock
         self._interval_records: list[EventRecord] = []  # since last marker
+        #: participants of every record this rank builds (RankSets are
+        #: immutable, so one instance serves the whole stream)
+        self._own_ranks = RankSet.single(self.rank)
 
     # -- identity -----------------------------------------------------------
 
@@ -116,7 +119,7 @@ class ScalaTraceTracer:
             src=None if src is None else EndpointStat.of(src, self.rank),
             dest=None if dest is None else EndpointStat.of(dest, self.rank),
             root=root,
-            participants=RankSet.single(self.rank),
+            participants=self._own_ranks,
             frames=frames,
         )
         rec.count.add(nbytes)

@@ -68,6 +68,7 @@ class TestDeltaHistogram:
             h.record(dt)
         h2 = DeltaHistogram.from_text(h.to_text())
         assert h2.counts == h.counts
+        assert h2.size_bytes() == h.size_bytes()
         assert h2.total == h.total
         assert h2.sum == pytest.approx(h.sum)
 
@@ -77,6 +78,7 @@ class TestDeltaHistogram:
         c = h.copy()
         c.record(2.0)
         assert h.total == 1 and c.total == 2
+        assert c.size_bytes() > h.size_bytes()  # a second bin filled
 
 
 class TestParamStat:
